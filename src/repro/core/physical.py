@@ -26,7 +26,6 @@ from repro.errors import DisguiseError, SpecError
 from repro.spec.disguise import DisguiseSpec, TableDisguise
 from repro.spec.generate import GenContext
 from repro.storage.database import Database
-from repro.storage.predicate import ColumnRef, InList, Literal
 from repro.storage.schema import FKAction, Schema
 from repro.vault.base import VaultStore
 from repro.vault.entry import OP_DECORRELATE, OP_MODIFY, OP_REMOVE, VaultEntry
@@ -300,10 +299,6 @@ class VaultJournal:
         self._doomed_ids.clear()
 
 
-def _in_list(column: str, values: list[Any]) -> InList:
-    return InList(ColumnRef(column), tuple(Literal(value) for value in values))
-
-
 @dataclass
 class ReverseOutcome:
     """What reversing one entry did."""
@@ -489,9 +484,11 @@ class OpExecutor:
         """Removal sets for many roots at once, children first.
 
         Same contract as :meth:`collect_removal_set`, but the FK graph is
-        walked level-by-level with one IN-list select per referencing table
-        per level (index-accelerated by the planner), so collecting N roots
-        issues O(depth × tables) statements instead of O(N). Rows affected
+        walked level-by-level with one key-batch select per referencing
+        table per level (``select(..., keys=...)``: rids straight from the
+        pk or FK index, no per-user predicate to plan or compile), so
+        collecting N roots issues O(depth × tables) statements instead of
+        O(N) and adds nothing to the plan cache. Rows affected
         by several roots appear once; all removes of one table are
         contiguous, which lets the caller batch the deletes.
         """
@@ -511,14 +508,12 @@ class OpExecutor:
             return
         seen.update((table, pk) for pk in fresh)
         pk_col = self.db.table(table).schema.primary_key
-        rows = self.db.select(table, _in_list(pk_col, fresh))
+        rows = self.db.select(table, keys=(pk_col, fresh))
         if not rows:
             return
         live = [row[pk_col] for row in rows]
         for child_schema, fk in self.schema.referencing(table):
-            child_rows = self.db.select(
-                child_schema.name, _in_list(fk.column, live)
-            )
+            child_rows = self.db.select(child_schema.name, keys=(fk.column, live))
             if not child_rows:
                 continue
             if fk.on_delete is FKAction.CASCADE:

@@ -510,6 +510,28 @@ class JobQueue:
                 self._clock.wait(self._cond, remaining)
             return True
 
+    def wait_job(self, job_id: int, timeout: float | None = None) -> bool:
+        """Block until job *job_id* is DONE or DEAD; False on timeout.
+
+        Woken by :meth:`complete` and :meth:`fail` through the clock seam,
+        so the caller returns when the job finishes, not at the next poll.
+        """
+        deadline = None if timeout is None else self._clock.monotonic() + timeout
+        with self._cond:
+            while True:
+                try:
+                    state = self._jobs[job_id].state
+                except KeyError:
+                    raise JobError(f"no such job {job_id}") from None
+                if state in (DONE, DEAD):
+                    return True
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - self._clock.monotonic()
+                    if remaining <= 0:
+                        return False
+                self._clock.wait(self._cond, remaining)
+
     def close(self) -> None:
         """Stop accepting jobs and wake every blocked :meth:`claim`."""
         with self._cond:

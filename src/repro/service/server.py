@@ -27,7 +27,7 @@ from repro.core.engine import Disguiser
 from repro.errors import ServiceError
 from repro.service.executor import JOB_APPLY, JOB_EXPIRE, JOB_REVEAL, WorkerPool
 from repro.service.locks import LockHook, LockManager
-from repro.service.queue import DONE, Job, JobQueue
+from repro.service.queue import Job, JobQueue
 from repro.simtest.clock import resolve_clock
 from repro.spec.disguise import DisguiseSpec
 
@@ -166,14 +166,9 @@ class DisguiseService:
     def wait_for(self, job: Job | int, timeout: float | None = None) -> dict[str, Any]:
         """Block until one job finishes; returns its description."""
         job_id = job.job_id if isinstance(job, Job) else int(job)
-        deadline = None if timeout is None else self._clock.monotonic() + timeout
-        while True:
-            described = self.status(job_id)
-            if described["state"] in (DONE, "dead"):
-                return described
-            if deadline is not None and self._clock.monotonic() > deadline:
-                raise ServiceError(f"timed out waiting for job {job_id}")
-            self._clock.sleep(0.01)
+        if not self.queue.wait_job(job_id, timeout):
+            raise ServiceError(f"timed out waiting for job {job_id}")
+        return self.status(job_id)
 
     #: Old hand-built ``metrics()`` keys -> registry names. Indexing the
     #: view with an old key still works (DeprecationWarning); the CLI's

@@ -460,10 +460,10 @@ class ShardedDatabase:
 
     # -- reads -------------------------------------------------------------------
 
-    def _route_read(self, table: str, where: Any, params: Any):
+    def _route_read(self, table: str, where: Any, params: Any, keys: Any = None):
         pred = parse_where(where) if where is not None else None
         kind, indices = self.router.read_shards(
-            table, pred, params, locate=self._locate
+            table, pred, params, locate=self._locate, keys=keys
         )
         self._note_route(kind)
         return indices
@@ -495,10 +495,22 @@ class ShardedDatabase:
         table: str,
         where: str | Predicate | None = None,
         params: Mapping[str, Any] | None = None,
+        *,
+        keys: tuple[str, Iterable[Any]] | None = None,
     ) -> list[dict[str, Any]]:
+        """Routed or scattered select; ``keys`` as in ``Database.select``.
+
+        A key list on the owner anchor or primary key routes exactly as
+        the equivalent ``column IN (...)`` predicate would, so the shards
+        are visited in the same order.
+        """
         self._bump(selects=1, statements=1)
-        indices = self._route_read(table, where, params)
-        return self._scatter(indices, lambda s: s.select(table, where, params))
+        if keys is not None:
+            keys = (keys[0], tuple(keys[1]))
+        indices = self._route_read(table, where, params, keys)
+        return self._scatter(
+            indices, lambda s: s.select(table, where, params, keys=keys)
+        )
 
     def get(self, table: str, pk_value: Any) -> dict[str, Any] | None:
         self._bump(selects=1, statements=1)

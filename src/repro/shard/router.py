@@ -328,32 +328,31 @@ class Router:
         table: str,
         pred: Predicate | None,
         params: Mapping[str, Any] | None,
+        keys: tuple[str, Iterable[Any]] | None = None,
     ) -> list[Any] | None:
         """Concrete owner values a predicate pins the anchor to, or None.
 
-        Walks the top-level AND conjuncts for ``anchor = <literal/param>``
-        or ``anchor IN (<literals/params>)``. Anything else — ORs, ranges,
-        expressions over the anchor — returns None (scatter). NULL owner
-        values are fine to route anywhere (``= NULL`` never matches), so
-        they are dropped from the pinned set.
+        A key list on the anchor (``keys=(anchor, values)``, a select's
+        key-batch read) pins it first. Otherwise walks the top-level AND
+        conjuncts for ``anchor = <literal/param>`` or ``anchor IN
+        (<literals/params>)``. Anything else — ORs, ranges, expressions
+        over the anchor — returns None (scatter). NULL owner values are
+        fine to route anywhere (``= NULL`` never matches), so they are
+        dropped from the pinned set.
         """
         placement = self.placement(table)
-        if placement.kind not in (ROOT, DIRECT) or pred is None:
+        if placement.kind not in (ROOT, DIRECT):
             return None
-        anchor = placement.anchor
-        for node in _conjuncts(pred):
-            values = _anchor_eq_values(node, anchor, params)
-            if values is not None:
-                return [v for v in values if v is not None]
-        return None
+        return _pinned_values(placement.anchor, pred, params, keys)
 
     def pk_values(
         self,
         table: str,
         pred: Predicate | None,
         params: Mapping[str, Any] | None,
+        keys: tuple[str, Iterable[Any]] | None = None,
     ) -> list[Any] | None:
-        """Concrete primary-key values a predicate pins, or None.
+        """Concrete primary-key values a predicate (or key list) pins, or None.
 
         Separate from :meth:`owner_values` because pk-pinned reads route
         by *probing* (facade-level pk uniqueness makes the probe exact),
@@ -361,13 +360,7 @@ class Router:
         the table is the root.
         """
         ts = self.analyzer.schema.table(table)
-        if pred is None:
-            return None
-        for node in _conjuncts(pred):
-            values = _anchor_eq_values(node, ts.primary_key, params)
-            if values is not None:
-                return [v for v in values if v is not None]
-        return None
+        return _pinned_values(ts.primary_key, pred, params, keys)
 
     def read_shards(
         self,
@@ -375,6 +368,7 @@ class Router:
         pred: Predicate | None,
         params: Mapping[str, Any] | None,
         locate: Any = None,
+        keys: tuple[str, Iterable[Any]] | None = None,
     ) -> tuple[str, list[int]]:
         """(kind, shard indices) for a read: 'single' | 'scatter' | 'home'.
 
@@ -396,18 +390,37 @@ class Router:
         placement = self.placement(table)
         if placement.kind in (SYSTEM, GLOBAL):
             return "home", [0]
-        owners = self.owner_values(table, pred, params)
+        owners = self.owner_values(table, pred, params, keys)
         if owners is not None and all(self.map.is_clean(v) for v in owners):
             shards = sorted({self.map.shard_of(v) for v in owners})
             return "single", (shards or [0])
         if locate is not None:
-            pks = self.pk_values(table, pred, params)
+            pks = self.pk_values(table, pred, params, keys)
             if pks is not None:
                 shards = sorted(
                     {s for s in (locate(table, pk) for pk in pks) if s is not None}
                 )
                 return "single", (shards or [0])
         return "scatter", list(range(self.n_shards))
+
+
+def _pinned_values(
+    column: str,
+    pred: Predicate | None,
+    params: Mapping[str, Any] | None,
+    keys: tuple[str, Iterable[Any]] | None,
+) -> list[Any] | None:
+    """Non-NULL values *column* is pinned to by a key list or by one of
+    the predicate's top-level conjuncts, or None if nothing pins it."""
+    if keys is not None and keys[0] == column:
+        return [v for v in keys[1] if v is not None]
+    if pred is None:
+        return None
+    for node in _conjuncts(pred):
+        values = _anchor_eq_values(node, column, params)
+        if values is not None:
+            return [v for v in values if v is not None]
+    return None
 
 
 def _conjuncts(pred: Predicate) -> Iterable[Predicate]:

@@ -520,15 +520,25 @@ class Database:
         table: str,
         where: str | Predicate | None = None,
         params: Mapping[str, Any] | None = None,
+        *,
+        keys: tuple[str, Iterable[Any]] | None = None,
     ) -> list[dict[str, Any]]:
         """Rows of *table* matching *where* (a WHERE string or Predicate).
 
-        Returns read-only :class:`~repro.storage.table.RowView` objects;
-        call ``dict(row)`` on one before mutating it.
+        ``keys=(column, values)`` further restricts the rows to those
+        whose *column* is one of *values*, with the semantics of
+        ``column IN (values...)`` but read straight from the column's
+        index (see :meth:`~repro.storage.table.Table.scan_keys`): batch
+        reads keyed by a per-call list of ids cost no plan-cache entry per
+        list. Returns read-only :class:`~repro.storage.table.RowView`
+        objects in rid order; call ``dict(row)`` on one before mutating it.
         """
         self._stats.selects += 1
         self._stats.statements += 1
         pred = parse_where(where) if where is not None else None
+        if keys is not None:
+            column, values = keys
+            return self.table(table).scan_keys(column, values, pred, params)
         return self.table(table).scan(pred, params)
 
     @_statement(_READ)

@@ -53,7 +53,7 @@ from repro.storage.planner import (
 from repro.storage.predicate import Predicate, TrueP
 from repro.storage.schema import TableSchema
 from repro.storage.stats import TableStatistics
-from repro.storage.types import coerce
+from repro.storage.types import coerce, is_comparable
 
 __all__ = ["Table", "RowView"]
 
@@ -241,6 +241,57 @@ class Table:
         for rid in rids:
             row = self._rows[rid]
             if match(row) is True:
+                out.append(RowView(row))
+        return out
+
+    def scan_keys(
+        self,
+        column: str,
+        values: Iterable[Any],
+        predicate: Predicate | None = None,
+        params: Mapping[str, Any] | None = None,
+    ) -> list[RowView]:
+        """Rows whose *column* is one of *values*, filtered by *predicate*.
+
+        Matches exactly as ``column IN (values...) AND predicate`` would,
+        rows in rid order, but the key list never becomes a predicate:
+        candidates come straight from the primary-key or hash index of
+        *column* (a full scan only when it has none), so nothing is
+        parsed, planned or compiled per key list and the plan cache holds
+        one entry per *predicate*. NULL keys and NULL column values never
+        match, and a key matches only values it is comparable with
+        (``TRUE`` never matches ``1``), as in SQL ``IN``.
+        """
+        self.schema.column(column)  # raises UnknownColumnError if absent
+        wanted: dict[Any, list[Any]] = {}
+        for value in values:
+            if value is not None:
+                wanted.setdefault(value, []).append(value)
+        rows = self._rows
+        rids = self._execute_path(MultiProbe(column, tuple(wanted)))
+        if rids is None:  # no index on the column
+            rids = list(rows)
+            self.last_plan = "full"
+        else:
+            self.last_plan = f"keys({column}, {len(wanted)})"
+        self.last_estimate = float(len(rids))
+        with self._diag_mu:
+            self.rows_examined += len(rids)
+        match = None
+        if predicate is not None:
+            compiled = self._plan_entry(predicate).compiled
+            bound = params or {}
+            if compiled is None:
+                match = lambda row: predicate.test(row, bound)  # noqa: E731
+            else:
+                match = compiled.bind(bound)
+        out = []
+        for rid in rids:
+            row = rows[rid]
+            keys = wanted.get(row[column])
+            if keys is None or not any(is_comparable(row[column], k) for k in keys):
+                continue
+            if match is None or match(row) is True:
                 out.append(RowView(row))
         return out
 

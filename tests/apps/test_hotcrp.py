@@ -211,3 +211,27 @@ class TestConfAnon:
         reveal = engine.reveal(report.disguise_id, check_integrity=True)
         assert sorted(c["firstName"] for c in db.select("ContactInfo")) == names_before
         assert reveal.fks_restored > 0
+
+
+class TestPlanCacheBound:
+    def test_entries_scale_with_spec_predicates_not_users(self):
+        """Per-user GDPR+ applies reuse one cached plan per spec predicate.
+
+        Removal-set collection reads each user's keys through key-batch
+        selects, so no per-user predicate enters the plan cache: its size
+        is the same after 20 and after 100 users, far below its FIFO cap,
+        and almost every lookup hits.
+        """
+        db = generate_hotcrp(seed=7)
+        engine = Disguiser(db, seed=1)
+        spec = hotcrp_gdpr_plus()
+        engine.register(spec)
+        uids = sorted(row["contactId"] for row in db.select("ContactInfo"))
+        sizes = {}
+        for n, uid in enumerate(uids[:100], start=1):
+            engine.apply(spec.name, uid=uid)
+            if n in (20, 100):
+                plans = db.plans
+                sizes[n] = len(plans)
+                assert plans.hits >= 0.95 * (plans.hits + plans.misses), n
+        assert sizes[20] == sizes[100] < 64 < db.plans.MAXSIZE

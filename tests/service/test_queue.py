@@ -1,5 +1,6 @@
 """Durable job queue: lifecycle, retry/backoff, recovery, corruption."""
 
+import random
 import threading
 import time
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.errors import JobError, QueueCorruptionError
 from repro.service.queue import DEAD, DONE, PENDING, RUNNING, JobQueue
+from repro.simtest.clock import SIM_WALL_BASE, VirtualClock
+from repro.simtest.sched import StepScheduler
 
 
 @pytest.fixture
@@ -268,6 +271,62 @@ class TestConcurrency:
         assert sorted(claimed) == sorted(j.job_id for j in queue.jobs())
         assert len(claimed) == total
         assert queue.counts()[DONE] == total
+
+
+class TestWaitJob:
+    def test_returns_when_another_thread_completes(self, path):
+        queue = make_queue(path)
+        job = queue.submit("apply", {})
+
+        def worker():
+            claimed = queue.claim(timeout=5.0)
+            time.sleep(0.02)
+            queue.complete(claimed, {"ok": True})
+
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        assert queue.wait_job(job.job_id, timeout=5.0) is True
+        assert job.state == DONE
+        thread.join(5.0)
+
+    def test_dead_letter_ends_the_wait_but_a_retry_does_not(self, path):
+        queue = make_queue(path, max_attempts=2, backoff_base=0.0)
+        job = queue.submit("apply", {})
+        queue.fail(queue.claim(timeout=0), "first")
+        assert queue.wait_job(job.job_id, timeout=0) is False  # pending again
+        queue.fail(queue.claim(timeout=0), "second")
+        assert queue.wait_job(job.job_id, timeout=0) is True
+        assert job.state == DEAD
+
+    def test_times_out(self, path):
+        queue = make_queue(path)
+        job = queue.submit("apply", {})
+        assert queue.wait_job(job.job_id, timeout=0.01) is False
+        assert job.state == PENDING
+
+    def test_unknown_job_raises(self, path):
+        with pytest.raises(JobError):
+            make_queue(path).wait_job(99, timeout=0)
+
+    @pytest.mark.parametrize("finish_at", [0.0, 0.123, 2.5])
+    def test_returns_at_the_virtual_time_the_job_finishes(self, path, finish_at):
+        """Under a virtual clock the waiter returns at exactly the time the
+        job finishes — a poll loop would return on its next tick after."""
+        sched = StepScheduler(random.Random(0))
+        clock = VirtualClock(sched)
+        queue = make_queue(path, clock=clock)
+        job = queue.submit("apply", {})
+
+        def worker():
+            claimed = queue.claim()
+            clock.sleep(finish_at)
+            queue.complete(claimed, {"ok": True})
+
+        handle = clock.spawn(worker, name="worker")
+        assert queue.wait_job(job.job_id) is True
+        assert job.finished_at == SIM_WALL_BASE + finish_at
+        assert clock.monotonic() == finish_at
+        handle.join()
 
 
 class TestClosedQueue:

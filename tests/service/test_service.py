@@ -6,6 +6,7 @@ at once, and the service must keep referential integrity, lose no job, and
 leave each user's data exactly as a serial execution would.
 """
 
+import random
 import threading
 
 import pytest
@@ -21,6 +22,8 @@ from repro.core.scheduler import ExpirationPolicy, PolicyScheduler, SimClock
 from repro.errors import DisguiseError
 from repro.service import DisguiseService
 from repro.service.locks import LockHook, LockManager
+from repro.simtest.clock import VirtualClock
+from repro.simtest.sched import StepScheduler
 from repro.storage.persist import save_database
 from repro.storage.wal import WalDatabase, recover_database
 
@@ -76,8 +79,26 @@ class TestServiceBasics:
         assert described["state"] == "dead"
         assert described["attempts"] == 2
         metrics = service.metrics()
-        assert metrics["jobs_dead"] == 1
-        assert metrics["jobs_failed"] == 2
+        assert metrics["service.jobs_dead"] == 1
+        assert metrics["service.jobs_failed"] == 2
+
+    def test_wait_for_returns_when_the_job_finishes_in_virtual_time(self, tmp_path):
+        """wait_for blocks on the queue's condition through the clock seam:
+        a job dead-lettered at its virtual retry time returns then, not at
+        the next tick of a poll loop."""
+        clock = VirtualClock(StepScheduler(random.Random(0)))
+        service = blog_service(
+            tmp_path, workers=1, max_attempts=2, backoff_base=0.125, clock=clock
+        )
+        service.start()
+        try:
+            job = service.submit_reveal(999)  # no such disguise: always fails
+            assert service.wait_for(job)["state"] == "dead"
+            finished = service.queue.get(job.job_id).finished_at
+            assert clock.time() == finished
+            assert clock.monotonic() == pytest.approx(0.125, abs=1e-6)
+        finally:
+            service.shutdown()
 
     def test_shutdown_detaches_hook_and_leaves_engine_usable(self, tmp_path):
         service = blog_service(tmp_path)
@@ -93,12 +114,12 @@ class TestServiceBasics:
             service.submit_apply("BlogScrub", uid=2)
             assert service.drain(timeout=30.0)
         metrics = service.metrics()
-        assert metrics["workers"] == 2
-        assert metrics["jobs_done"] == 1
-        assert metrics["jobs_per_s"] > 0
-        assert metrics["queue_depth"] == 0
-        assert metrics["lock_acquisitions"] > 0
-        assert metrics["p99_latency_s"] >= metrics["p50_latency_s"] >= 0
+        assert metrics["service.workers"] == 2
+        assert metrics["service.jobs_done"] == 1
+        assert metrics["service.jobs_per_s"] > 0
+        assert metrics["service.queue_depth"] == 0
+        assert metrics["service.lock_acquisitions"] > 0
+        assert metrics["service.job_p99_s"] >= metrics["service.job_p50_s"] >= 0
 
 
 class TestLobstersStress:
